@@ -301,7 +301,8 @@ func main() {
 }
 
 // runOne submits one job — retrying admission rejections under the shared
-// backoff policy — and waits for its terminal state.
+// backoff policy — and waits for its terminal state through the job's events
+// stream.
 func runOne(ctx context.Context, client *serveclient.Client, spec serve.Spec, name string, timeout time.Duration, policy serveclient.BackoffPolicy) jobOutcome {
 	t0 := time.Now()
 	st, err := client.SubmitRetry(ctx, spec, policy)
@@ -310,7 +311,10 @@ func runOne(ctx context.Context, client *serveclient.Client, spec serve.Spec, na
 	}
 	wctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	final, err := client.Wait(wctx, st.ID, 25*time.Millisecond)
+	// The job's SSE events stream announces the terminal state the moment
+	// it happens (Await falls back to status polling on an endpoint
+	// without the stream).
+	final, err := client.Await(wctx, st.ID)
 	if err != nil {
 		return jobOutcome{strategy: name, solver: spec.Solver, state: serve.StateFailed, err: fmt.Sprintf("wait: %v", err)}
 	}

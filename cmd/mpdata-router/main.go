@@ -47,7 +47,6 @@ func main() {
 	vnodes := flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 	healthInterval := flag.Duration("health-interval", 250*time.Millisecond, "replica health probe period")
 	failThreshold := flag.Int("fail-threshold", 2, "consecutive probe failures before a replica leaves the ring")
-	pollInterval := flag.Duration("poll-interval", 50*time.Millisecond, "per-job status poll period")
 	maxReroutes := flag.Int("max-reroutes", 3, "replica-fault re-placements per job before it fails")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain window on SIGTERM")
 	flag.Parse()
@@ -67,7 +66,6 @@ func main() {
 		VNodes:         *vnodes,
 		HealthInterval: *healthInterval,
 		FailThreshold:  *failThreshold,
-		PollInterval:   *pollInterval,
 		MaxReroutes:    *maxReroutes,
 		Logf:           log.Printf,
 	})

@@ -64,6 +64,10 @@ type Runner struct {
 	haloEnvs  []*stencil.Env
 	swapPairs [][2]*grid.Field
 	fbStale   bool
+	// windowed marks core-islands environments allocated over their
+	// windows (stencil.NewWindowEnv): every step input is a private window
+	// copy that ReloadFeedback refreshes.
+	windowed bool
 	// prof is the runtime profiler state (nil = profiling off, the
 	// default; see profile.go). Set via EnableProfile, never during Run.
 	prof *profiler
@@ -135,11 +139,25 @@ func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.
 		priv[feedback] = fb.Clone()
 		return priv
 	}
+	var windowReason string
 	if cfg.CoreIslands {
+		// Windowed sub-islands: each worker's fields cover only its part
+		// plus the halo its schedule reads (window.go); otherwise every
+		// worker holds full-domain arrays.
+		var windows []grid.Region
+		windows, windowReason = coreWindows(p, prog, halo, haloReason)
+		r.windowed = windows != nil
+		e := 0
 		for i := range p.parts {
 			var envs []*stencil.Env
 			for w := 0; w < cfg.Machine.Nodes[i].Cores; w++ {
-				env, err := stencil.NewEnv(&prog.Program, fb.Size, envInputs())
+				var env *stencil.Env
+				if r.windowed {
+					env, err = stencil.NewWindowEnv(&prog.Program, windows[e], inputs)
+				} else {
+					env, err = stencil.NewEnv(&prog.Program, fb.Size, envInputs())
+				}
+				e++
 				if err != nil {
 					r.Close()
 					return nil, err
@@ -172,6 +190,23 @@ func NewRunner(cfg Config, prog *stencil.KernelProgram, inputs map[string]*grid.
 	if err != nil {
 		r.Close()
 		return nil, err
+	}
+	r.schedule.windowReason = windowReason
+	fields := append([]string(nil), prog.StepInputs...)
+	for s := range prog.Stages {
+		fields = append(fields, prog.Stages[s].Name)
+	}
+	for _, env := range r.haloEnvs {
+		if r.windowed {
+			r.schedule.windowedEnvs++
+		}
+		// Environment-owned bytes: stage outputs and private input copies
+		// (shared inputs belong to the caller).
+		for _, name := range fields {
+			if f := env.Field(name); f != inputs[name] {
+				r.schedule.envBytes += int64(f.Size.Cells()) * grid.CellBytes
+			}
+		}
 	}
 	r.stepFns = make([]func(worker int), len(r.sch.Teams))
 	for t := range r.sch.Teams {
@@ -345,26 +380,36 @@ func (r *Runner) SyncFeedback() {
 	fb := r.inputs[r.feedback]
 	for e, env := range r.haloEnvs {
 		if own := r.halo.owned[e]; !own.Empty() {
-			grid.CopyRegion(fb, env.Field(r.feedback), own)
+			w := env.Window
+			grid.CopyShifted(fb, env.Field(r.feedback), own, -w.I0, -w.J0, -w.K0)
 		}
 	}
 	r.fbStale = false
 }
 
 // ReloadFeedback re-imports the shared feedback field into the islands'
-// private buffers (each environment's part plus halo), for callers that
-// mutate the feedback input between steps — Run invokes it after every
-// OnStepEnd hook, and direct Runner users should call it after writing the
-// feedback field between Run calls. No-op outside the swap+halo mode.
+// private buffers (each environment's part plus halo) — and, for windowed
+// core-islands environments, the other step inputs into their window
+// copies — for callers that mutate the step inputs between steps: Run
+// invokes it after every OnStepEnd hook, and direct Runner users should
+// call it after writing the inputs between Run calls. No-op outside the
+// swap+halo mode.
 func (r *Runner) ReloadFeedback() {
 	if r.schedule == nil || r.schedule.mode != FeedbackSwapHalo {
 		return
 	}
 	fb := r.inputs[r.feedback]
 	for e, env := range r.haloEnvs {
-		priv := env.Field(r.feedback)
+		priv, w := env.Field(r.feedback), env.Window
 		for _, box := range r.halo.boxes[e] {
-			grid.CopyRegion(priv, fb, box)
+			grid.CopyShifted(priv, fb, env.Local(box), w.I0, w.J0, w.K0)
+		}
+		if r.windowed {
+			for _, name := range r.prog.StepInputs {
+				if name != r.feedback {
+					env.LoadWindow(r.inputs, name)
+				}
+			}
 		}
 	}
 	r.fbStale = false

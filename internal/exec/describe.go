@@ -127,6 +127,14 @@ func (r *Runner) DescribeSchedule() string {
 		fmt.Fprintf(&b, " — halo fallback: %s", st.FallbackReason)
 	}
 	b.WriteByte('\n')
+	fmt.Fprintf(&b, "  environments: %d B owned", st.EnvBytes)
+	switch {
+	case st.WindowedEnvs > 0:
+		fmt.Fprintf(&b, " — %d core-islands envs windowed to their part plus read halo", st.WindowedEnvs)
+	case st.WindowFallbackReason != "":
+		fmt.Fprintf(&b, " — full-domain core-islands envs: %s", st.WindowFallbackReason)
+	}
+	b.WriteByte('\n')
 	fmt.Fprintf(&b, "  %s\n", st)
 	return b.String()
 }

@@ -244,8 +244,9 @@ func TestHaloFusionInvariant(t *testing.T) {
 }
 
 // TestHaloHookRoundTrip: OnStepEnd hooks observe the materialized feedback
-// every step and may mutate it; the runner must re-import the mutation into
-// the private buffers so the next step computes from the hook's values —
+// every step and may mutate it — and the other step inputs; the runner must
+// re-import the mutations into the private buffers (and the windowed core
+// islands' input copies) so the next step computes from the hook's values —
 // same contract as the shared-grid strategies.
 func TestHaloHookRoundTrip(t *testing.T) {
 	m, err := topology.UV2000(2)
@@ -253,7 +254,7 @@ func TestHaloHookRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const steps = 3
-	domain := grid.Sz(24, 16, 8)
+	domain := grid.Sz(24, 32, 8) // core sub-islands 4 wide: swap+halo, windowed
 	run := func(cfg Config) *grid.Field {
 		state := freshState(domain)
 		runner, err := NewRunner(cfg, mpdata.NewProgram(), state.InputMap(), mpdata.InPsi)
@@ -265,6 +266,7 @@ func TestHaloHookRoundTrip(t *testing.T) {
 			// Read and perturb the published state mid-run.
 			state.Psi.Set(1, 1, 1, state.Psi.At(1, 1, 1)+0.5)
 			state.Psi.Set(domain.NI-2, 2, 2, float64(step))
+			state.U2.Set(domain.NI/2, domain.NJ/2, 3, 0.05*float64(step+1))
 		}
 		if err := runner.Run(); err != nil {
 			t.Fatal(err)
@@ -285,5 +287,10 @@ func TestHaloHookRoundTrip(t *testing.T) {
 	}
 	if d := grid.MaxAbsDiff(wantPsi, run(ablated)); d != 0 {
 		t.Fatalf("hooked copy publish differs from original by %g", d)
+	}
+	core := isl
+	core.CoreIslands = true
+	if d := grid.MaxAbsDiff(wantPsi, run(core)); d != 0 {
+		t.Fatalf("hooked windowed core islands differ from original by %g", d)
 	}
 }

@@ -239,7 +239,7 @@ func runItemsProfiled(items []schedItem, wp *workerProf, trace bool, epoch time.
 		case kernelItem:
 			it.kern(it.env, it.reg)
 		case copyItem:
-			grid.CopyRegion(it.dst, it.src, it.reg)
+			grid.CopyShifted(it.dst, it.src, it.reg, it.shift[0], it.shift[1], it.shift[2])
 		case barrierItem:
 			spin, park = it.bar.WaitProfiled()
 		case swapItem:

@@ -66,6 +66,9 @@ type schedItem struct {
 	reg   grid.Region
 	dst   *grid.Field
 	src   *grid.Field
+	// shift maps a copy item's region (dst coordinates) onto src: the two
+	// fields may hold different windows of the domain (grid.CopyShifted).
+	shift [3]int
 	bar   *sched.Barrier
 	// do is the precompiled serial section of a fused swap-barrier item
 	// (kind == swapItem with bar != nil): the last arriver runs it inside
@@ -126,6 +129,13 @@ type Schedule struct {
 	// was not compiled (infeasible geometry or Config.DisableHaloExchange)
 	// — the loud half of the fallback rule.
 	fallbackReason string
+	// windowedEnvs counts the core-islands environments allocated over
+	// their windows (window.go); windowReason says why core islands kept
+	// full-domain environments instead. envBytes totals the bytes the
+	// environments own (stage outputs and private input copies).
+	windowedEnvs int
+	windowReason string
+	envBytes     int64
 	// wrapReason records why periodic wrap bands were skipped for some
 	// dimension (stage halo wider than the domain); empty when the bands
 	// compiled (or were not needed).
@@ -210,7 +220,7 @@ func runItems(items []schedItem) {
 		case kernelItem:
 			it.kern(it.env, it.reg)
 		case copyItem:
-			grid.CopyRegion(it.dst, it.src, it.reg)
+			grid.CopyShifted(it.dst, it.src, it.reg, it.shift[0], it.shift[1], it.shift[2])
 		case barrierItem:
 			it.bar.Wait()
 		case swapItem:
@@ -324,15 +334,23 @@ func (c *scheduleCompiler) addKernel(t, w, s int, env *stencil.Env, r grid.Regio
 	}
 	fast, _, ok := c.prog.SplitPaths(s)
 	if !ok {
-		c.push(t, w, schedItem{kind: kernelItem, kern: c.prog.Kernels[s], env: env, reg: r})
+		c.push(t, w, schedItem{kind: kernelItem, kern: c.prog.Kernels[s], env: env, reg: env.Local(r)})
 		return
 	}
-	interior, pieces := stencil.BorderPieces(r, c.exts[s], c.p.domain)
+	c.addSplit(t, w, fast, c.exts[s], env, r)
+}
+
+// addSplit appends a fast kernel over r (domain coordinates) to worker (t,
+// w), cut into the interior and the pinned border pieces of the extent ext.
+// The pieces are derived in domain coordinates — the boundary is the
+// domain's — and each item is emitted in its environment's coordinates.
+func (c *scheduleCompiler) addSplit(t, w int, fast stencil.Kernel, ext stencil.Extent, env *stencil.Env, r grid.Region) {
+	interior, pieces := stencil.BorderPieces(r, ext, c.p.domain)
 	if !interior.Empty() {
-		c.push(t, w, schedItem{kind: kernelItem, kern: fast, env: env, reg: interior})
+		c.push(t, w, schedItem{kind: kernelItem, kern: fast, env: env, reg: env.Local(interior)})
 	}
 	for _, pc := range pieces {
-		c.push(t, w, schedItem{kind: kernelItem, kern: fast, env: c.bindEnv(env, pc), reg: pc.Region})
+		c.push(t, w, schedItem{kind: kernelItem, kern: fast, env: c.bindEnv(env, pc), reg: env.Local(pc.Region)})
 	}
 }
 
@@ -405,14 +423,7 @@ func (c *scheduleCompiler) addUnit(t, w int, u phaseUnit, env *stencil.Env, r gr
 	if r.Empty() {
 		return
 	}
-	ge := &c.groups[u.idx]
-	interior, pieces := stencil.BorderPieces(r, c.p.fuse.Groups[u.idx].Ext, c.p.domain)
-	if !interior.Empty() {
-		c.push(t, w, schedItem{kind: kernelItem, kern: ge.Fast, env: env, reg: interior})
-	}
-	for _, pc := range pieces {
-		c.push(t, w, schedItem{kind: kernelItem, kern: ge.Fast, env: c.bindEnv(env, pc), reg: pc.Region})
-	}
+	c.addSplit(t, w, c.groups[u.idx].Fast, c.p.fuse.Groups[u.idx].Ext, env, r)
 }
 
 // bindEnv returns env bound to piece pc, reusing clones across pieces with
@@ -425,6 +436,14 @@ func (c *scheduleCompiler) bindEnv(env *stencil.Env, pc stencil.BorderPiece) *st
 	b := env.BindPiece(pc)
 	c.binds[k] = b
 	return b
+}
+
+// newCopy builds a copy item of region reg (domain coordinates) from src,
+// which holds window sw of the domain, into dst, which holds window dw.
+func newCopy(dst *grid.Field, dw grid.Region, src *grid.Field, sw grid.Region, reg grid.Region) schedItem {
+	return schedItem{kind: copyItem, dst: dst, src: src,
+		reg:   grid.Box(reg.I0-dw.I0, reg.I1-dw.I0, reg.J0-dw.J0, reg.J1-dw.J0, reg.K0-dw.K0, reg.K1-dw.K0),
+		shift: [3]int{dw.I0 - sw.I0, dw.J0 - sw.J0, dw.K0 - sw.K0}}
 }
 
 func (c *scheduleCompiler) push(t, w int, it schedItem) {
@@ -761,7 +780,7 @@ func (c *scheduleCompiler) compileIslands(envs []*stencil.Env, kk int) {
 		chunks := splitPart(c.p.parts[t], n)
 		for w := 0; w < n; w++ {
 			if !chunks[w].Empty() {
-				c.push(t, w, schedItem{kind: copyItem, dst: c.out, src: src, reg: chunks[w]})
+				c.push(t, w, newCopy(c.out, grid.WholeRegion(c.p.domain), src, envs[t].Window, chunks[w]))
 			}
 		}
 	}
@@ -780,19 +799,21 @@ func (c *scheduleCompiler) compileHaloExchange(envOf func(int) *stencil.Env, tea
 	c.sch.haloBytes = c.halo.stripBytes
 	c.curPhase = c.syntheticPhase("halo-exchange")
 	for e := range c.halo.owned {
-		dst := envOf(e).Field(c.prog.Output)
+		denv := envOf(e)
+		dst := denv.Field(c.prog.Output)
 		t, n, split := teamOf(e)
 		for _, s := range c.halo.strips[e] {
-			src := envOf(s.owner).Field(c.prog.Output)
+			senv := envOf(s.owner)
+			src := senv.Field(c.prog.Output)
 			if split {
 				chunks := decomp.SplitDim(s.reg, decomp.LongestDim(s.reg), n)
 				for w := 0; w < n; w++ {
 					if !chunks[w].Empty() {
-						c.push(t, w, schedItem{kind: copyItem, dst: dst, src: src, reg: chunks[w]})
+						c.push(t, w, newCopy(dst, denv.Window, src, senv.Window, chunks[w]))
 					}
 				}
 			} else {
-				c.push(t, c.workerOf(e, t), schedItem{kind: copyItem, dst: dst, src: src, reg: s.reg})
+				c.push(t, c.workerOf(e, t), newCopy(dst, denv.Window, src, senv.Window, s.reg))
 			}
 		}
 	}
@@ -871,8 +892,8 @@ func (c *scheduleCompiler) compileCoreIslands(workerEnvs [][]*stencil.Env, kk in
 		n := team.Size()
 		subs := splitPart(c.p.parts[t], n)
 		for w := 0; w < n; w++ {
-			if !subs[w].Empty() {
-				c.push(t, w, schedItem{kind: copyItem, dst: c.out, src: workerEnvs[t][w].Field(c.prog.Output), reg: subs[w]})
+			if env := workerEnvs[t][w]; !subs[w].Empty() {
+				c.push(t, w, newCopy(c.out, grid.WholeRegion(c.p.domain), env.Field(c.prog.Output), env.Window, subs[w]))
 			}
 		}
 	}
@@ -919,6 +940,14 @@ type ScheduleStats struct {
 	HaloStrips     int
 	HaloBytes      int64
 	FallbackReason string
+	// WindowedEnvs counts the core-islands environments allocated over
+	// their windows (part plus read halo) instead of the whole domain;
+	// WindowFallbackReason says why a core-islands schedule kept
+	// full-domain environments. EnvBytes totals the bytes the runner's
+	// environments own: stage outputs and private input copies.
+	WindowedEnvs         int
+	WindowFallbackReason string
+	EnvBytes             int64
 }
 
 // Stats summarizes the schedule.
@@ -926,6 +955,7 @@ func (s *Schedule) Stats() ScheduleStats {
 	st := ScheduleStats{Barriers: len(s.barriers),
 		Feedback: s.mode, SwapFeedback: s.mode == FeedbackSwap,
 		HaloStrips: s.haloStrips, HaloBytes: s.haloBytes, FallbackReason: s.fallbackReason,
+		WindowedEnvs: s.windowedEnvs, WindowFallbackReason: s.windowReason, EnvBytes: s.envBytes,
 		Stages: s.stages, PhaseGroups: s.groups,
 		KSteps: s.ksteps, KStepFallbackReason: s.kstepReason}
 	for _, team := range s.items {
@@ -976,6 +1006,13 @@ func (st ScheduleStats) String() string {
 	}
 	if st.KStepFallbackReason != "" {
 		fmt.Fprintf(&b, " (ksteps fallback: %s)", st.KStepFallbackReason)
+	}
+	fmt.Fprintf(&b, ", env bytes=%d", st.EnvBytes)
+	if st.WindowedEnvs > 0 {
+		fmt.Fprintf(&b, " (%d windowed envs)", st.WindowedEnvs)
+	}
+	if st.WindowFallbackReason != "" {
+		fmt.Fprintf(&b, " (window fallback: %s)", st.WindowFallbackReason)
 	}
 	return b.String()
 }

@@ -17,18 +17,21 @@ import (
 //
 //	POST /v1/jobs              submit a job spec            -> 202 JobStatus
 //	GET  /v1/jobs/{id}         routed status + placement    -> 200 JobStatus
+//	GET  /v1/jobs/{id}/events  SSE progress, ends with done
 //	GET  /v1/jobs/{id}/result  result once terminal         -> 200 JobStatus
 //	POST /v1/jobs/{id}/cancel  cancel a routed job          -> 202 JobStatus
 //	GET  /v1/fleet             membership + per-replica load -> 200 JSON
 //	GET  /metrics              fleet text exposition
 //	GET  /healthz              200 with >= 1 healthy replica, else 503
 //
-// SSE progress streams are a replica concern; the router reports step
-// progress through the status poll instead.
+// The events stream is the replica's, re-served: the router follows each
+// placement's stream and forwards its progress through the same SSE writer
+// (serve.WriteEvents), across reroutes, ending with exactly one done event.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", r.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", r.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", r.handleResult)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", r.handleCancel)
 	mux.HandleFunc("GET /v1/fleet", r.handleFleet)
@@ -93,6 +96,12 @@ func (r *Router) jobOr404(w http.ResponseWriter, req *http.Request) (*Job, bool)
 func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	if j, ok := r.jobOr404(w, req); ok {
 		writeJSON(w, http.StatusOK, r.Status(j))
+	}
+}
+
+func (r *Router) handleEvents(w http.ResponseWriter, req *http.Request) {
+	if j, ok := r.jobOr404(w, req); ok {
+		serve.WriteEvents(w, req, &j.events, j.Done(), j.event)
 	}
 }
 

@@ -35,6 +35,10 @@ type Job struct {
 	reroutes int    // replica faults survived
 	stolen   bool   // true if any placement landed off-home
 
+	// events fans the routed job's progress out to the router's SSE
+	// subscribers.
+	events serve.EventHub
+
 	done chan struct{}
 }
 
@@ -77,7 +81,7 @@ func (j *Job) place(memberName, remoteID string) {
 	}
 }
 
-// placement returns the member name and replica-side id the watcher polls.
+// placement returns the member name and replica-side id the watcher follows.
 func (j *Job) placement() (memberName, remoteID string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -92,19 +96,24 @@ func (j *Job) noteReroute() int {
 	return j.reroutes
 }
 
-// progress folds a replica status poll into the router-side view.
-func (j *Job) progress(step int) {
+// progress folds a replica state or progress event into the router-side
+// view and forwards it to the router's subscribers. The router's step count never
+// goes backwards: a rerouted job re-runs from step 0 on its new replica.
+func (j *Job) progress(ev serve.Event) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if step > j.step {
-		j.step = step
+	if ev.Step > j.step {
+		j.step = ev.Step
 	}
+	ev.State, ev.Step, ev.Steps = j.state, j.step, j.Spec.Steps
+	j.mu.Unlock()
+	j.events.Publish(ev)
 }
 
 // finish performs the terminal transition exactly once, reporting whether
 // this call did it — the exactly-once guarantee the failure-injection test
 // asserts (a replica completing a job the router already gave up on cannot
-// double-count).
+// double-count). The caller closes done once its registry bookkeeping is
+// complete (Router.finishJob).
 func (j *Job) finish(state serve.JobState, errMsg string, result *serve.Result) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -114,9 +123,17 @@ func (j *Job) finish(state serve.JobState, errMsg string, result *serve.Result) 
 	j.state = state
 	j.errMsg = errMsg
 	j.result = result
+	ev := serve.Event{Type: "done", State: state, Step: j.step, Steps: j.Spec.Steps, Error: errMsg}
 	j.mu.Unlock()
-	close(j.done)
+	j.events.Publish(ev)
 	return true
+}
+
+// event snapshots the job as an SSE event body (the writer sets the type).
+func (j *Job) event() serve.Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return serve.Event{State: j.state, Step: j.step, Steps: j.Spec.Steps, Error: j.errMsg}
 }
 
 // status snapshots the job in the single-server wire format (plus the fleet

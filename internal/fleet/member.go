@@ -14,7 +14,10 @@ import (
 // health interval); consecutive probe failures past the threshold take a
 // member out of the placement ring, and a single successful probe puts it
 // back. A replica reporting itself draining is treated as down for placement
-// — it no longer admits jobs — while its in-flight jobs are still polled.
+// — it no longer admits jobs — while its in-flight jobs are still followed.
+// A member marked down by failures is unreachable: its lost channel closes,
+// which cuts every events stream still following it (a hung replica holds
+// its streams open without ever ending them).
 type member struct {
 	name   string
 	client *serveclient.Client
@@ -24,10 +27,29 @@ type member struct {
 	consecFails int
 	stats       serve.ReplicaStats
 	lastSeen    time.Time
+	unreachable bool
+	lost        chan struct{} // closed while unreachable
 }
 
 func newMember(name string) *member {
-	return &member{name: name, client: serveclient.New(name), healthy: true}
+	return &member{name: name, client: serveclient.New(name), healthy: true, lost: make(chan struct{})}
+}
+
+// Lost returns a channel that closes once the member is marked unreachable.
+func (m *member) Lost() <-chan struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lost
+}
+
+// markUnreachable takes the member out of the ring and closes lost; the
+// caller holds mu.
+func (m *member) markUnreachable() {
+	m.healthy = false
+	if !m.unreachable {
+		m.unreachable = true
+		close(m.lost)
+	}
 }
 
 // Healthy reports whether the member is currently in the placement ring.
@@ -53,9 +75,13 @@ func (m *member) probe(stats serve.ReplicaStats, err error, failThreshold int) (
 	if err != nil {
 		m.consecFails++
 		if m.consecFails >= failThreshold {
-			m.healthy = false
+			m.markUnreachable()
 		}
 	} else {
+		if m.unreachable {
+			m.unreachable = false
+			m.lost = make(chan struct{})
+		}
 		m.consecFails = 0
 		m.stats = stats
 		m.lastSeen = time.Now()
@@ -65,17 +91,18 @@ func (m *member) probe(stats serve.ReplicaStats, err error, failThreshold int) (
 }
 
 // fault records a transport error observed outside the health loop (a failed
-// placement or status poll) so a dead replica leaves the ring after
+// placement or a dropped events stream) so a dead replica leaves the ring after
 // failThreshold strikes instead of waiting for the next scheduled probe.
 func (m *member) fault(failThreshold int) (flipped bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.consecFails++
-	if m.healthy && m.consecFails >= failThreshold {
-		m.healthy = false
-		return true
+	if m.consecFails < failThreshold {
+		return false
 	}
-	return false
+	was := m.healthy
+	m.markUnreachable()
+	return was
 }
 
 // healthLoop probes every member each interval until stop closes, rebuilding

@@ -56,16 +56,13 @@ type Options struct {
 	// FailThreshold is the consecutive probe/transport failures that take
 	// a replica out of the placement ring (0 = 2).
 	FailThreshold int
-	// PollInterval is the per-job status poll period (0 = 50ms).
-	PollInterval time.Duration
-	// PollFailLimit is the consecutive status-poll failures that declare
-	// the placement dead and reroute the job (0 = 3).
-	PollFailLimit int
 	// MaxReroutes bounds the replica-fault re-placements per job (0 = 3);
 	// past it the job is reported failed — terminal, never lost.
 	MaxReroutes int
-	// Backoff is the admission retry policy used while re-placing rerouted
-	// jobs into a saturated fleet (zero value = serveclient defaults).
+	// Backoff is the watcher's retry policy (zero value = serveclient
+	// defaults): the waits before re-subscribing to a dropped events
+	// stream, and the admission retries while re-placing rerouted jobs
+	// into a saturated fleet.
 	Backoff serveclient.BackoffPolicy
 	// Logf receives operational log lines (nil = discard).
 	Logf func(format string, args ...any)
@@ -80,12 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FailThreshold <= 0 {
 		o.FailThreshold = 2
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 50 * time.Millisecond
-	}
-	if o.PollFailLimit <= 0 {
-		o.PollFailLimit = 3
 	}
 	if o.MaxReroutes <= 0 {
 		o.MaxReroutes = 3
@@ -108,6 +99,9 @@ type Router struct {
 	ring    *ring // healthy members only
 	jobs    map[string]*Job
 	nextID  uint64
+	// retired bounds the terminal jobs kept in jobs (serve.RetainedJobs,
+	// the replicas' bound).
+	retired serve.TerminalLog
 
 	inflight atomic.Int64
 	draining atomic.Bool
@@ -317,99 +311,134 @@ func (r *Router) placeOnce(ctx context.Context, j *Job) (*member, serve.JobStatu
 	return nil, serve.JobStatus{}, ErrNoReplicas
 }
 
-// watch follows one routed job to its terminal state: polling the placement,
-// folding progress into the router-side view, forwarding cancellation, and
-// rerouting on replica faults. It is the only goroutine that transitions the
-// job, so reroutes are sequential and the terminal transition is unique.
+// watch follows one routed job to its terminal state through the
+// placement's SSE events stream: progress is forwarded to the router's own
+// subscribers, the terminal "done" event triggers one result fetch, a
+// canceled job cancels its placement, and replica faults reroute. It is the
+// only goroutine that transitions the job, so reroutes are sequential and
+// the terminal transition is unique.
 func (r *Router) watch(j *Job) {
 	defer r.jobsWG.Done()
 	defer r.inflight.Add(-1)
 
-	pollFails := 0
+	drops := 0 // consecutive follows of the current placement that failed without progress
 	for {
-		select {
-		case <-j.ctx.Done():
+		if j.ctx.Err() != nil {
 			r.cancelRemote(j)
 			r.finishJob(j, serve.StateCanceled, cancelCause(j.ctx), nil)
 			return
-		default:
 		}
 
 		memberName, remoteID := j.placement()
 		m := r.memberByName(memberName)
-		st, err := m.client.Status(j.ctx, remoteID)
+		st, progressed, err := r.follow(j, m, remoteID)
+		if progressed {
+			drops = 0 // the stream was live: earlier drops are not consecutive
+		}
 		if err != nil {
 			if j.ctx.Err() != nil {
-				continue // the ctx branch above finishes the job
+				continue // the check above finishes the job
 			}
 			var apiErr *serveclient.APIError
-			if errors.As(err, &apiErr) && apiErr.StatusCode == 404 {
-				// The replica restarted without the job: a fault, not a miss.
-				pollFails = r.opts.PollFailLimit
-			} else if !errors.As(err, &apiErr) {
-				// Transport error: strike toward the member's threshold.
-				if m.fault(r.opts.FailThreshold) {
+			// A 404 means the replica restarted without the job: lost
+			// outright. Anything else — a dropped stream, one that ended
+			// without its done event, a 5xx — may be transient: retry
+			// after a backoff wait until FailThreshold consecutive drops
+			// or the member leaving the ring declare the placement lost.
+			lost := errors.As(err, &apiErr) && apiErr.StatusCode == 404
+			if !lost {
+				drops++
+				if !errors.As(err, &apiErr) && m.fault(r.opts.FailThreshold) {
 					r.opts.Logf("replica %s unreachable while watching %s: %v", m.name, j.ID, err)
 					r.rebuildRing()
 				}
-				pollFails++
-			} else {
-				pollFails++ // 5xx etc: count, tolerate transients
+				lost = drops >= r.opts.FailThreshold || !m.Healthy()
 			}
-			if pollFails >= r.opts.PollFailLimit || !m.Healthy() {
-				if !r.reroute(j, fmt.Sprintf("replica %s lost (last error: %v)", memberName, err)) {
-					return
-				}
-				pollFails = 0
-			} else if serveclient.SleepContext(j.ctx, r.opts.PollInterval) != nil {
+			if !lost {
+				// A wait cut short by cancellation ends at the ctx check.
+				_ = serveclient.SleepContext(j.ctx, r.opts.Backoff.Delay(drops-1, 0))
 				continue
 			}
+			if !r.reroute(j, fmt.Sprintf("replica %s lost (last error: %v)", memberName, err)) {
+				return
+			}
+			drops = 0
 			continue
 		}
-		pollFails = 0
-		j.progress(st.Step)
+		drops = 0
 
-		if st.State.Terminal() {
-			switch st.State {
-			case serve.StateSucceeded:
-				if st.Result != nil {
-					if st.Result.CacheHit {
-						r.metrics.CacheHits.Add(1)
-					} else {
-						r.metrics.CacheMisses.Add(1)
-					}
+		switch st.State {
+		case serve.StateSucceeded:
+			if st.Result != nil {
+				if st.Result.CacheHit {
+					r.metrics.CacheHits.Add(1)
+				} else {
+					r.metrics.CacheMisses.Add(1)
 				}
-				r.finishJob(j, serve.StateSucceeded, "", st.Result)
-				return
-			case serve.StateFailed:
-				if strings.Contains(st.Error, serve.DrainAbortReason) {
-					// The replica's drain aborted the job — a replica fault,
-					// not a job failure: re-run it elsewhere.
-					if !r.reroute(j, fmt.Sprintf("replica %s drain-aborted the job", memberName)) {
-						return
-					}
-					continue
-				}
+			}
+			r.finishJob(j, serve.StateSucceeded, "", st.Result)
+			return
+		case serve.StateFailed:
+			if !strings.Contains(st.Error, serve.DrainAbortReason) {
 				r.finishJob(j, serve.StateFailed, st.Error, nil)
 				return
-			case serve.StateCanceled:
-				if j.ctx.Err() != nil || strings.Contains(st.Error, "deadline") {
-					// The router's client canceled it, or the job's own
-					// deadline expired: honest terminal cancellation.
-					r.finishJob(j, serve.StateCanceled, st.Error, nil)
-					return
-				}
-				// Canceled by a replica shutdown the job did not ask for.
-				if !r.reroute(j, fmt.Sprintf("replica %s canceled the job during shutdown (%s)", memberName, st.Error)) {
-					return
-				}
-				continue
+			}
+			// The replica's drain aborted the job — a replica fault, not a
+			// job failure: re-run it elsewhere.
+			if !r.reroute(j, fmt.Sprintf("replica %s drain-aborted the job", memberName)) {
+				return
+			}
+		default: // serve.StateCanceled
+			if j.ctx.Err() != nil || strings.Contains(st.Error, "deadline") {
+				// The router's client canceled it, or the job's own
+				// deadline expired: honest terminal cancellation.
+				r.finishJob(j, serve.StateCanceled, st.Error, nil)
+				return
+			}
+			// Canceled by a replica shutdown the job did not ask for.
+			if !r.reroute(j, fmt.Sprintf("replica %s canceled the job during shutdown (%s)", memberName, st.Error)) {
+				return
 			}
 		}
-		if serveclient.SleepContext(j.ctx, r.opts.PollInterval) != nil {
-			continue
-		}
 	}
+}
+
+// errUnreachable cuts a follow whose replica was marked unreachable.
+var errUnreachable = errors.New("fleet: replica marked unreachable")
+
+// follow streams one placement's events until its terminal "done" event,
+// forwarding the state snapshots and progress into the routed job, then
+// fetches the replica's terminal status and result once. progressed reports
+// whether the stream delivered a progress event. The follow is cut when the
+// member is marked unreachable, so a replica that hangs instead of crashing
+// cannot hold the job past its eviction from the ring.
+func (r *Router) follow(j *Job, m *member, remoteID string) (st serve.JobStatus, progressed bool, err error) {
+	ctx, cancel := context.WithCancelCause(j.ctx)
+	defer cancel(nil)
+	lost := m.Lost()
+	go func() {
+		select {
+		case <-lost:
+			cancel(errUnreachable)
+		case <-ctx.Done():
+		}
+	}()
+	err = m.client.Events(ctx, remoteID, func(ev serve.Event) bool {
+		if ev.Type == "progress" {
+			progressed = true
+		}
+		if ev.Type != "done" {
+			j.progress(ev)
+		}
+		return true
+	})
+	if err == nil {
+		st, err = m.client.Result(ctx, remoteID)
+	}
+	if err != nil && j.ctx.Err() == nil && errors.Is(context.Cause(ctx), errUnreachable) {
+		err = errUnreachable
+	}
+	return st, progressed, err
 }
 
 // reroute re-places a job after a replica fault, retrying saturated fleets
@@ -498,6 +527,14 @@ func (r *Router) finishJob(j *Job, state serve.JobState, errMsg string, result *
 	if !j.finish(state, errMsg, result) {
 		return
 	}
+	// Retire before Done fires: a waiter that sees the job terminal sees
+	// the registry already bounded.
+	r.mu.Lock()
+	if old := r.retired.Retire(j.ID); old != "" {
+		delete(r.jobs, old)
+	}
+	r.mu.Unlock()
+	close(j.done)
 	switch state {
 	case serve.StateSucceeded:
 		r.metrics.Succeeded.Add(1)

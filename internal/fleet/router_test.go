@@ -102,6 +102,17 @@ type replica struct {
 	hs  *httptest.Server
 }
 
+// kill takes the replica down the way a crash would: the listener goes
+// first (no new connections, so no re-subscribing events stream can slip
+// in), then every open connection — the router's events streams included —
+// drops, and the server's in-flight work dies with it.
+func (r *replica) kill() {
+	r.hs.Listener.Close()
+	r.hs.CloseClientConnections()
+	r.srv.Close()
+	r.hs.Close()
+}
+
 func startReplicas(t *testing.T, n int, opts serve.Options) (map[string]*replica, []string) {
 	t.Helper()
 	byURL := make(map[string]*replica, n)
@@ -128,8 +139,6 @@ func fastRouterOptions(urls []string, t *testing.T) fleet.Options {
 		Replicas:       urls,
 		HealthInterval: 20 * time.Millisecond,
 		FailThreshold:  2,
-		PollInterval:   5 * time.Millisecond,
-		PollFailLimit:  3,
 		Backoff:        serveclient.BackoffPolicy{Initial: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 		Logf:           t.Logf,
 	}
@@ -330,11 +339,7 @@ func TestFleetFailureInjection(t *testing.T) {
 	victim := replicas[victimURL]
 	waitReplicaRunning(t, victim, 1)
 
-	// Kill the victim mid-job: drop its client connections and its listener,
-	// then tear the server down so its in-flight work dies with it.
-	victim.hs.CloseClientConnections()
-	victim.hs.Close()
-	victim.srv.Close()
+	victim.kill()
 
 	for i, j := range routed {
 		if st := waitFleetJob(t, j); st != serve.StateSucceeded {

@@ -279,15 +279,29 @@ func CopyRegion(dst, src *Field, r Region) {
 	if dst.Size != src.Size {
 		panic(fmt.Sprintf("grid: size mismatch %v vs %v", dst.Size, src.Size))
 	}
-	r = r.Clamp(dst.Size)
+	CopyShifted(dst, src, r.Clamp(dst.Size), 0, 0, 0)
+}
+
+// CopyShifted copies src's cells at r shifted by (di, dj, dk) into dst's
+// cells at r: dst(i, j, k) = src(i+di, j+dj, k+dk). The fields may differ in
+// size — windows of one domain at different origins — and both boxes must
+// lie inside their fields.
+func CopyShifted(dst, src *Field, r Region, di, dj, dk int) {
 	if r.Empty() {
 		return
 	}
-	nk := dst.Size.NK
+	if !WholeRegion(dst.Size).ContainsRegion(r) ||
+		!WholeRegion(src.Size).ContainsRegion(r.Grow(-di, di, -dj, dj, -dk, dk)) {
+		panic(fmt.Sprintf("grid: shifted copy of %v by (%d,%d,%d) outside %v -> %v", r, di, dj, dk, src.Size, dst.Size))
+	}
+	dnj, dnk := dst.Size.NJ, dst.Size.NK
+	snj, snk := src.Size.NJ, src.Size.NK
+	n := r.K1 - r.K0
 	for i := r.I0; i < r.I1; i++ {
 		for j := r.J0; j < r.J1; j++ {
-			base := (i*dst.Size.NJ + j) * nk
-			copy(dst.Data[base+r.K0:base+r.K1], src.Data[base+r.K0:base+r.K1])
+			d := (i*dnj+j)*dnk + r.K0
+			s := ((i+di)*snj+j+dj)*snk + r.K0 + dk
+			copy(dst.Data[d:d+n], src.Data[s:s+n])
 		}
 	}
 }

@@ -364,6 +364,37 @@ func TestCopyRegionDirect(t *testing.T) {
 	CopyRegion(NewField("small", Sz(2, 2, 2)), src, r)
 }
 
+// TestCopyShifted copies a box between two windows of one domain held at
+// different origins, and rejects a box outside either field.
+func TestCopyShifted(t *testing.T) {
+	// src holds domain box [2,6)x[1,5)x[0,4), dst holds [3,6)x[0,5)x[0,4).
+	src := NewField("src", Sz(4, 4, 4))
+	src.FillFunc(func(i, j, k int) float64 { return float64((i+2)*100 + (j+1)*10 + k) })
+	dst := NewField("dst", Sz(3, 5, 4))
+	// Domain box [3,5)x[2,4)x[1,3): dst-local [0,2)x[2,4)x[1,3), shifted
+	// by the origin difference (3-2, 0-1, 0) onto src.
+	CopyShifted(dst, src, Box(0, 2, 2, 4, 1, 3), 1, -1, 0)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 5; j++ {
+			for k := 0; k < 4; k++ {
+				want := 0.0
+				if i < 2 && j >= 2 && j < 4 && k >= 1 && k < 3 {
+					want = float64((i+3)*100 + j*10 + k)
+				}
+				if got := dst.At(i, j, k); got != want {
+					t.Fatalf("dst(%d,%d,%d) = %v, want %v", i, j, k, got, want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a panic for a box outside the source field")
+		}
+	}()
+	CopyShifted(dst, src, Box(0, 3, 0, 1, 0, 4), 2, 0, 0)
+}
+
 // TestSwapData checks the O(1) buffer exchange used by the buffer-swap
 // feedback path: contents trade places, other metadata stays put, and a size
 // mismatch panics.

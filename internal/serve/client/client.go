@@ -157,8 +157,14 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 	}
 }
 
+// ErrStreamEnded reports an events stream that closed before its terminal
+// "done" event: the server went away (or dropped the connection) mid-job.
+var ErrStreamEnded = errors.New("serveclient: events stream ended before the terminal event")
+
 // Events streams the job's SSE progress, invoking fn for every event until
-// the stream ends (terminal event), fn returns false, or ctx expires.
+// the terminal "done" event (nil), fn returns false (nil), ctx expires
+// (ctx's error), or the stream breaks off — a transport error, or
+// ErrStreamEnded when the server closed the stream without a "done" event.
 func (c *Client) Events(ctx context.Context, id string, fn func(serve.Event) bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -175,8 +181,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(serve.Event) boo
 	if resp.StatusCode != http.StatusOK {
 		return &APIError{StatusCode: resp.StatusCode, Message: "events stream refused"}
 	}
+	// Events are a few hundred bytes: start the line buffer small (one
+	// stream per in-flight job) and let it grow only for an unusual line.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 4*1024), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "data: ") {
@@ -186,17 +194,32 @@ func (c *Client) Events(ctx context.Context, id string, fn func(serve.Event) boo
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 			return fmt.Errorf("serveclient: bad event payload: %w", err)
 		}
-		if !fn(ev) {
-			return nil
-		}
-		if ev.Type == "done" {
+		if !fn(ev) || ev.Type == "done" {
 			return nil
 		}
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, context.Canceled) {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return nil
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	return ErrStreamEnded
+}
+
+// Await waits for a job's terminal state through its SSE events stream and
+// then fetches the result once. An endpoint that serves no events stream
+// (404 or 405 on /events) is waited on by Wait's status polling instead.
+func (c *Client) Await(ctx context.Context, id string) (serve.JobStatus, error) {
+	err := c.Events(ctx, id, func(serve.Event) bool { return true })
+	var apiErr *APIError
+	if errors.As(err, &apiErr) && (apiErr.StatusCode == http.StatusNotFound || apiErr.StatusCode == http.StatusMethodNotAllowed) {
+		return c.Wait(ctx, id, 0)
+	}
+	if err != nil {
+		return serve.JobStatus{}, err
+	}
+	return c.Result(ctx, id)
 }
 
 // Healthz probes the health endpoint (nil = serving).

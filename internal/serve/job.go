@@ -144,7 +144,9 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	subs     map[chan Event]struct{}
+
+	// events fans progress out to the job's SSE subscribers.
+	events EventHub
 
 	// done is closed on the terminal transition.
 	done chan struct{}
@@ -169,7 +171,6 @@ func newJob(id string, spec Spec, ns NormSpec, now time.Time) *Job {
 		ctx:     jctx,
 		state:   StateQueued,
 		created: now,
-		subs:    make(map[chan Event]struct{}),
 		done:    make(chan struct{}),
 	}
 	j.cancel = func(cause error) {
@@ -223,7 +224,7 @@ func (j *Job) setRunning(now time.Time) bool {
 	j.state = StateRunning
 	j.started = now
 	j.mu.Unlock()
-	j.publish(Event{Type: "state", State: StateRunning, Steps: j.ns.Steps})
+	j.events.Publish(Event{Type: "state", State: StateRunning, Steps: j.ns.Steps})
 	return true
 }
 
@@ -232,7 +233,7 @@ func (j *Job) progress(step int) {
 	j.mu.Lock()
 	j.step = step
 	j.mu.Unlock()
-	j.publish(Event{Type: "progress", State: StateRunning, Step: step, Steps: j.ns.Steps})
+	j.events.Publish(Event{Type: "progress", State: StateRunning, Step: step, Steps: j.ns.Steps})
 }
 
 // progressTiles records a streamed job's tile-granular progress: step counts
@@ -242,12 +243,13 @@ func (j *Job) progressTiles(step, tile, tiles int) {
 	j.mu.Lock()
 	j.step = step
 	j.mu.Unlock()
-	j.publish(Event{Type: "progress", State: StateRunning, Step: step, Steps: j.ns.Steps, Tile: tile, Tiles: tiles})
+	j.events.Publish(Event{Type: "progress", State: StateRunning, Step: step, Steps: j.ns.Steps, Tile: tile, Tiles: tiles})
 }
 
 // finish performs the terminal transition exactly once, reporting whether
 // this call did it; extra calls (e.g. a cancel racing a natural completion)
-// are ignored.
+// are ignored. The caller closes done once its registry bookkeeping is
+// complete (Server.finishJob).
 func (j *Job) finish(state JobState, errMsg string, result *Result, now time.Time) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -260,36 +262,8 @@ func (j *Job) finish(state JobState, errMsg string, result *Result, now time.Tim
 	j.finished = now
 	step := j.step
 	j.mu.Unlock()
-	j.publish(Event{Type: "done", State: state, Step: step, Steps: j.ns.Steps, Error: errMsg})
-	close(j.done)
+	j.events.Publish(Event{Type: "done", State: state, Step: step, Steps: j.ns.Steps, Error: errMsg})
 	return true
-}
-
-// publish fans an event out to the subscribers. Slow subscribers drop
-// intermediate events (their channel is buffered); the terminal event is
-// never lost because the SSE handler also watches Done.
-func (j *Job) publish(ev Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-// subscribe registers an event channel; the returned func unsubscribes.
-func (j *Job) subscribe() (chan Event, func()) {
-	ch := make(chan Event, 16)
-	j.mu.Lock()
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
 }
 
 // status snapshots the job for the API (queue position filled by the

@@ -24,6 +24,36 @@ var ErrDraining = errors.New("serve: server is draining, not admitting jobs")
 // went away — and reroutes the job to another replica instead of failing it.
 const DrainAbortReason = "aborted by server drain"
 
+// RetainedJobs bounds how many terminal jobs a server keeps queryable: the
+// most recent ones, in finish order. An older terminal job is evicted from
+// the registry and its id answers 404. Queued and running jobs are never
+// evicted. The fleet router applies the same bound to its routed jobs. It is
+// a constant, not an option: each retained job costs well under a kilobyte,
+// and without a bound a long-lived server grows without limit.
+const RetainedJobs = 1024
+
+// TerminalLog remembers terminal job ids in finish order, bounded to
+// RetainedJobs. The zero value is ready to use; it is not safe for
+// concurrent use (callers hold their registry lock).
+type TerminalLog struct {
+	ids  []string
+	head int // oldest entry once the log is full
+}
+
+// Retire records a newly terminal job id and returns the id that fell out
+// of the retention window ("" while the log is below its bound); the caller
+// deletes that id from its registry.
+func (l *TerminalLog) Retire(id string) (evict string) {
+	if len(l.ids) < RetainedJobs {
+		l.ids = append(l.ids, id)
+		return ""
+	}
+	evict = l.ids[l.head]
+	l.ids[l.head] = id
+	l.head = (l.head + 1) % RetainedJobs
+	return evict
+}
+
 // Options configures a Server. The zero value selects the documented
 // defaults.
 type Options struct {
@@ -69,6 +99,8 @@ type Server struct {
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	nextID uint64
+	// retired bounds the terminal jobs kept in jobs (RetainedJobs).
+	retired TerminalLog
 
 	running  atomic.Int64
 	draining atomic.Bool
@@ -285,8 +317,9 @@ func (s *Server) runJob(j *Job) {
 		s.finishJob(j, j.terminalOnCancel(), j.cancelCause(), nil)
 		return
 	}
+	// The job leaves the running count before its terminal transition, so
+	// a client woken by done never sees it still counted as running.
 	s.running.Add(1)
-	defer s.running.Add(-1)
 
 	queueWait := j.started.Sub(j.created)
 	// With a tuner, the engine lease happens under the tuned (canonical)
@@ -295,6 +328,7 @@ func (s *Server) runJob(j *Job) {
 	tuned, dec := s.tuneSpec(j.ns)
 	lease, err := s.pool.Acquire(j.ctx, tuned)
 	if err != nil {
+		s.running.Add(-1)
 		if j.ctx.Err() != nil {
 			s.finishJob(j, j.terminalOnCancel(), j.cancelCause(), nil)
 		} else {
@@ -307,6 +341,7 @@ func (s *Server) runJob(j *Job) {
 	// healthy engine is already back in the cache, so an immediate follow-up
 	// job with the same key hits instead of compiling a duplicate.
 	lease.Release(reuse)
+	s.running.Add(-1)
 	s.finishJob(j, state, errMsg, result)
 }
 
@@ -502,6 +537,14 @@ func (s *Server) finishJob(j *Job, state JobState, errMsg string, result *Result
 	if !j.finish(state, errMsg, result, time.Now()) {
 		return
 	}
+	// Retire before Done fires: a waiter that sees the job terminal sees
+	// the registry already bounded.
+	s.mu.Lock()
+	if old := s.retired.Retire(j.ID); old != "" {
+		delete(s.jobs, old)
+	}
+	s.mu.Unlock()
+	close(j.done)
 	switch state {
 	case StateSucceeded:
 		s.metrics.JobSucceeded(j.ns.Solver)
@@ -742,72 +785,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{Error: "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	ch, unsubscribe := j.subscribe()
-	defer unsubscribe()
-
-	writeEvent := func(ev Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	// Opening snapshot so late subscribers see where the job stands.
-	st := s.Status(j)
-	if !writeEvent(Event{Type: "state", State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error}) {
-		return
-	}
-	if st.State.Terminal() {
-		writeEvent(Event{Type: "done", State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error})
-		return
-	}
-	for {
-		select {
-		case ev := <-ch:
-			if !writeEvent(ev) {
-				return
-			}
-			if ev.Type == "done" {
-				return
-			}
-		case <-j.Done():
-			// Flush any buffered events, then make sure a terminal
-			// event is delivered even if the buffer dropped it.
-			for {
-				select {
-				case ev := <-ch:
-					if !writeEvent(ev) {
-						return
-					}
-					if ev.Type == "done" {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			st := s.Status(j)
-			writeEvent(Event{Type: "done", State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error})
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	WriteEvents(w, r, &j.events, j.Done(), func() Event {
+		st := s.Status(j)
+		return Event{State: st.State, Step: st.Step, Steps: st.Steps, Error: st.Error}
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

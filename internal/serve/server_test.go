@@ -786,3 +786,43 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines: %d before, %d after drain — leak", before, runtime.NumGoroutine())
 }
+
+// TestTerminalJobRetentionBounded finishes one job more than the retention
+// bound: the oldest terminal job leaves the registry and its id answers 404
+// over HTTP, while the most recent RetainedJobs stay queryable.
+func TestTerminalJobRetentionBounded(t *testing.T) {
+	gate := make(chan struct{})
+	close(gate) // engines free-run
+	s := serve.NewServer(serve.Options{Slots: 1, EngineFactory: gatedFactory(gate)})
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	var ids []string
+	for i := 0; i <= serve.RetainedJobs; i++ {
+		j, err := s.Submit(smallSpec(1))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if st := waitTerminal(t, j); st != serve.StateSucceeded {
+			t.Fatalf("job %d finished %s", i, st)
+		}
+		ids = append(ids, j.ID)
+	}
+	if _, ok := s.Job(ids[0]); ok {
+		t.Fatalf("oldest terminal job %s still retained after %d newer ones", ids[0], serve.RetainedJobs)
+	}
+	for _, id := range []string{ids[1], ids[len(ids)-1]} {
+		if _, ok := s.Job(id); !ok {
+			t.Fatalf("job %s evicted inside the retention window", id)
+		}
+	}
+	client := serveclient.New(hs.URL)
+	var apiErr *serveclient.APIError
+	if _, err := client.Status(context.Background(), ids[0]); !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
+		t.Fatalf("status of evicted job = %v, want 404", err)
+	}
+	if _, err := client.Result(context.Background(), ids[len(ids)-1]); err != nil {
+		t.Fatalf("result of the newest job: %v", err)
+	}
+}

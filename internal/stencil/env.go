@@ -131,8 +131,14 @@ const (
 )
 
 // Env holds the named fields a program executes against: the step inputs and
-// one full-domain output field per stage. Indexing helpers implement the
-// selected boundary condition (Periodic by default).
+// one output field per stage. Indexing helpers implement the selected
+// boundary condition (Periodic by default).
+//
+// A full-domain Env (NewEnv) holds every field over the whole domain. A
+// windowed Env (NewWindowEnv) holds them over one box of the domain only —
+// an island's part plus the halo its schedule reads — and kernels index it
+// in local coordinates: Domain is the window's size, so kernels, which take
+// their strides and boundary resolution from Domain, run unchanged.
 //
 // An Env may additionally be bound to a border piece (BindPiece): along each
 // pinned dimension the piece sits at one fixed coordinate, so the
@@ -143,6 +149,10 @@ const (
 // schedule executes most of the border shell without the per-cell AtP path.
 type Env struct {
 	Domain grid.Size
+	// Window is the box of the global domain the fields hold, in domain
+	// coordinates: local cell (i, j, k) is domain cell (Window.I0+i,
+	// Window.J0+j, Window.K0+k). It is the whole domain for NewEnv.
+	Window grid.Region
 	BC     Boundary
 	fields map[string]*grid.Field
 	// pinned/pin describe the border binding (all-false = unbound).
@@ -150,14 +160,22 @@ type Env struct {
 	pin    [3]int
 }
 
-// BindPiece returns a shallow clone of e bound to the given border piece.
-// The clone shares e's fields (and thus observes buffer swaps); only offset
-// resolution changes.
+// BindPiece returns a shallow clone of e bound to the given border piece,
+// which is in domain coordinates (the clone pins its local image). The clone
+// shares e's fields (and thus observes buffer swaps); only offset resolution
+// changes.
 func (e *Env) BindPiece(p BorderPiece) *Env {
 	c := *e
 	c.pinned = p.Pinned
-	c.pin = p.Pin
+	c.pin = [3]int{p.Pin[0] - e.Window.I0, p.Pin[1] - e.Window.J0, p.Pin[2] - e.Window.K0}
 	return &c
+}
+
+// Local translates a region from domain coordinates into the env's local
+// coordinates (the identity on a full-domain env).
+func (e *Env) Local(r grid.Region) grid.Region {
+	w := e.Window
+	return grid.Box(r.I0-w.I0, r.I1-w.I0, r.J0-w.J0, r.J1-w.J0, r.K0-w.K0, r.K1-w.K0)
 }
 
 // Step returns the flat-index displacement of a move of delta cells along
@@ -197,7 +215,7 @@ func (e *Env) OffsetStride(o Offset) int {
 // NewEnv creates an execution environment for prog on the given domain,
 // binding the provided step-input fields and allocating stage outputs.
 func NewEnv(prog *Program, domain grid.Size, inputs map[string]*grid.Field) (*Env, error) {
-	env := &Env{Domain: domain, fields: make(map[string]*grid.Field)}
+	env := &Env{Domain: domain, Window: grid.WholeRegion(domain), fields: make(map[string]*grid.Field)}
 	for _, name := range prog.StepInputs {
 		f, ok := inputs[name]
 		if !ok {
@@ -213,6 +231,46 @@ func NewEnv(prog *Program, domain grid.Size, inputs map[string]*grid.Field) (*En
 		env.fields[name] = grid.NewField(name, domain)
 	}
 	return env, nil
+}
+
+// NewWindowEnv creates an environment over window, a box of the domain the
+// full-domain inputs cover: every step input gets a private copy of its
+// window (LoadWindow refreshes them), and the stage outputs are allocated
+// at the window's size. Reads must stay inside the window, except across
+// the domain's own faces where the window reaches them (the clamp boundary
+// then resolves identically in local coordinates); a periodic wrap cannot
+// be windowed.
+func NewWindowEnv(prog *Program, window grid.Region, inputs map[string]*grid.Field) (*Env, error) {
+	size := grid.Sz(window.I1-window.I0, window.J1-window.J0, window.K1-window.K0)
+	if !size.Valid() {
+		return nil, fmt.Errorf("stencil: empty window %v", window)
+	}
+	env := &Env{Domain: size, Window: window, fields: make(map[string]*grid.Field)}
+	for _, name := range prog.StepInputs {
+		f, ok := inputs[name]
+		if !ok {
+			return nil, fmt.Errorf("stencil: missing step input %q", name)
+		}
+		if !grid.WholeRegion(f.Size).ContainsRegion(window) {
+			return nil, fmt.Errorf("stencil: window %v exceeds input %q of size %v", window, name, f.Size)
+		}
+		env.fields[name] = grid.NewField(name, size)
+	}
+	for i := range prog.Stages {
+		name := prog.Stages[i].Name
+		env.fields[name] = grid.NewField(name, size)
+	}
+	env.LoadWindow(inputs, prog.StepInputs...)
+	return env, nil
+}
+
+// LoadWindow copies the env's window of the named full-domain inputs into
+// its private copies (NewWindowEnv's step inputs).
+func (e *Env) LoadWindow(inputs map[string]*grid.Field, names ...string) {
+	w := e.Window
+	for _, name := range names {
+		grid.CopyShifted(e.Field(name), inputs[name], grid.WholeRegion(e.Domain), w.I0, w.J0, w.K0)
+	}
 }
 
 // Field returns the named field, panicking on unknown names (a programming

@@ -705,8 +705,13 @@ func (s *Streamer) runSweepPipelined(sweep int) error {
 	loadCh := make(chan loadMsg, 1)
 	writeCh := make(chan writeMsg, 1)
 	writeDone := make(chan error, 1)
+	// loaderDone is closed when the loader has returned: a compute error
+	// must not let the sweep return (and the store close) while the loader
+	// is still reading the input file.
+	loaderDone := make(chan struct{})
 
 	go func() { // loader: stays one tile ahead of compute
+		defer close(loaderDone)
 		defer close(loadCh)
 		for t := s.ck.Tile; t < tiles; t++ {
 			var buf []float64
@@ -781,6 +786,7 @@ func (s *Streamer) runSweepPipelined(sweep int) error {
 		return nil
 	}()
 	close(stop)
+	<-loaderDone
 	close(writeCh)
 	werr := <-writeDone
 	if computeErr != nil {

@@ -151,8 +151,14 @@ load_pid=$!
 pids="$pids $load_pid"
 
 # Kill one replica mid-run — kill -9, no drain: queued and running jobs on it
-# must be rerouted by the router, not lost.
-sleep 1
+# must be rerouted by the router, not lost. The kill waits for the router to
+# have placed a quarter of the jobs, so it lands while work is in flight
+# however fast the jobs complete.
+for _ in $(seq 1 500); do
+    placed=$(metric_value "$router_url" fleet_placements_total)
+    [ "${placed:-0}" -ge $((fleet_jobs / 4)) ] && break
+    sleep 0.01
+done
 kill -9 "$r1_pid" 2>/dev/null || true
 echo "serve-smoke: killed replica 1 (pid $r1_pid) mid-run"
 
