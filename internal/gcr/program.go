@@ -44,6 +44,50 @@ func NewSmootherProgram() (*stencil.KernelProgram, error) {
 		{DK: -1}, {DK: 1},
 	}
 	point := []stencil.Offset{{}}
+	axSlow := func(env *stencil.Env, r grid.Region) {
+		x, out := env.Field(InX), env.Field("ax")
+		stencil.ForEach(r, func(i, j, k int) {
+			out.Set(i, j, k, applyA(env, x, i, j, k))
+		})
+	}
+	axFast := func(env *stencil.Env, r grid.Region) {
+		x, out := env.Field(InX).Data, env.Field("ax").Data
+		siN, siP := env.Step(0, -1), env.Step(0, 1)
+		sjN, sjP := env.Step(1, -1), env.Step(1, 1)
+		skN, skP := env.Step(2, -1), env.Step(2, 1)
+		nk := r.K1 - r.K0
+		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
+			// Re-sliced rows of one length: the loop carries no bounds
+			// checks.
+			row := out[base : base+nk : base+nk]
+			c := x[base:][:len(row)]
+			im, ip := x[base+siN:][:len(row)], x[base+siP:][:len(row)]
+			jm, jp := x[base+sjN:][:len(row)], x[base+sjP:][:len(row)]
+			km, kp := x[base+skN:][:len(row)], x[base+skP:][:len(row)]
+			for n := range row {
+				row[n] = opA(c[n], im[n], ip[n], jm[n], jp[n], km[n], kp[n])
+			}
+		})
+	}
+	xnewSlow := func(env *stencil.Env, r grid.Region) {
+		ax, x, b := env.Field("ax"), env.Field(InX), env.Field(InB)
+		out := env.Field("xnew")
+		stencil.ForEach(r, func(i, j, k int) {
+			out.Set(i, j, k, relax(x.At(i, j, k), b.At(i, j, k), ax.At(i, j, k)))
+		})
+	}
+	xnewFast := func(env *stencil.Env, r grid.Region) {
+		ax, x, b := env.Field("ax").Data, env.Field(InX).Data, env.Field(InB).Data
+		out := env.Field("xnew").Data
+		nk := r.K1 - r.K0
+		stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
+			row := out[base : base+nk : base+nk]
+			xs, bs, as := x[base:][:len(row)], b[base:][:len(row)], ax[base:][:len(row)]
+			for n := range row {
+				row[n] = relax(xs[n], bs[n], as[n])
+			}
+		})
+	}
 	stages := []stencil.KernelStage{
 		{
 			Stage: stencil.Stage{
@@ -51,12 +95,7 @@ func NewSmootherProgram() (*stencil.KernelProgram, error) {
 				Inputs: []stencil.Input{{From: InX, Offsets: sevenPoint}},
 				Flops:  7,
 			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				x, out := env.Field(InX), env.Field("ax")
-				stencil.ForEach(r, func(i, j, k int) {
-					out.Set(i, j, k, applyA(env, x, i, j, k))
-				})
-			},
+			Kernel: axSlow, Fast: axFast, Slow: axSlow,
 		},
 		{
 			Stage: stencil.Stage{
@@ -68,13 +107,7 @@ func NewSmootherProgram() (*stencil.KernelProgram, error) {
 				},
 				Flops: 4,
 			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				ax, x, b := env.Field("ax"), env.Field(InX), env.Field(InB)
-				out := env.Field("xnew")
-				stencil.ForEach(r, func(i, j, k int) {
-					out.Set(i, j, k, relax(x.At(i, j, k), b.At(i, j, k), ax.At(i, j, k)))
-				})
-			},
+			Kernel: xnewSlow, Fast: xnewFast, Slow: xnewSlow,
 		},
 	}
 	kp, err := stencil.BuildProgram("gcr-smoother", []string{InX, InB}, "xnew", stages)
@@ -85,14 +118,22 @@ func NewSmootherProgram() (*stencil.KernelProgram, error) {
 	return kp, nil
 }
 
-// applyA evaluates the 7-point operator at one cell; shared by the program
-// kernel and SmootherReference so both sides perform the identical float
-// operation sequence (the bit-identity contract).
+// applyA evaluates the 7-point operator at one cell through
+// boundary-resolving reads — the gather of the slow kernel and
+// SmootherReference. The fast row kernel gathers by flat strides instead;
+// all three share the arithmetic of opA and relax, so they perform the
+// identical float operation sequence (the bit-identity contract).
 func applyA(env *stencil.Env, x *grid.Field, i, j, k int) float64 {
-	return 6*x.At(i, j, k) -
-		env.AtP(x, i-1, j, k) - env.AtP(x, i+1, j, k) -
-		env.AtP(x, i, j-1, k) - env.AtP(x, i, j+1, k) -
-		env.AtP(x, i, j, k-1) - env.AtP(x, i, j, k+1)
+	return opA(x.At(i, j, k),
+		env.AtP(x, i-1, j, k), env.AtP(x, i+1, j, k),
+		env.AtP(x, i, j-1, k), env.AtP(x, i, j+1, k),
+		env.AtP(x, i, j, k-1), env.AtP(x, i, j, k+1))
+}
+
+// opA is the 7-point operator A = 6·c − Σ neighbours from the cell value
+// and its six face neighbours.
+func opA(c, im, ip, jm, jp, km, kp float64) float64 {
+	return 6*c - im - ip - jm - jp - km - kp
 }
 
 // relax is the damped-Jacobi update at one cell (see applyA).

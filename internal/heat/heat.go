@@ -43,22 +43,39 @@ func NewProgram(k int) (*stencil.KernelProgram, error) {
 	for s := 1; s <= k; s++ {
 		name := fmt.Sprintf("t%d", s)
 		in := prev
+		inputs := []stencil.Input{{From: in, Offsets: sevenPoint}}
+		slow := func(env *stencil.Env, r grid.Region) {
+			src, out := env.Field(in), env.Field(name)
+			stencil.ForEach(r, func(i, j, k int) {
+				out.Set(i, j, k, jacobiAt(env, src, i, j, k))
+			})
+		}
+		fast := func(env *stencil.Env, r grid.Region) {
+			src, out := env.Field(in).Data, env.Field(name).Data
+			siN, siP := env.Step(0, -1), env.Step(0, 1)
+			sjN, sjP := env.Step(1, -1), env.Step(1, 1)
+			skN, skP := env.Step(2, -1), env.Step(2, 1)
+			nk := r.K1 - r.K0
+			stencil.ForEachRow(env.Domain, r, func(_, _, base int) {
+				// Re-sliced rows of one length: the loop carries no bounds
+				// checks.
+				row := out[base : base+nk : base+nk]
+				c := src[base:][:len(row)]
+				im, ip := src[base+siN:][:len(row)], src[base+siP:][:len(row)]
+				jm, jp := src[base+sjN:][:len(row)], src[base+sjP:][:len(row)]
+				km, kp := src[base+skN:][:len(row)], src[base+skP:][:len(row)]
+				for x := range row {
+					row[x] = jacobi(c[x], im[x], ip[x], jm[x], jp[x], km[x], kp[x])
+				}
+			})
+		}
 		stages = append(stages, stencil.KernelStage{
 			Stage: stencil.Stage{
 				Name:   name,
-				Inputs: []stencil.Input{{From: in, Offsets: sevenPoint}},
+				Inputs: inputs,
 				Flops:  9, // 5 adds + center scale + alpha multiply + update
 			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				src, out := env.Field(in), env.Field(name)
-				stencil.ForEach(r, func(i, j, k int) {
-					c := src.At(i, j, k)
-					lap := env.AtP(src, i-1, j, k) + env.AtP(src, i+1, j, k) +
-						env.AtP(src, i, j-1, k) + env.AtP(src, i, j+1, k) +
-						env.AtP(src, i, j, k-1) + env.AtP(src, i, j, k+1) - 6*c
-					out.Set(i, j, k, c+Alpha*lap)
-				})
-			},
+			Kernel: slow, Fast: fast, Slow: slow,
 		})
 		prev = name
 	}
@@ -72,6 +89,24 @@ func NewProgram(k int) (*stencil.KernelProgram, error) {
 	return kp, nil
 }
 
+// jacobi is one Jacobi update from a cell's value and its six face
+// neighbours. It is the only copy of the per-cell arithmetic: the fast row
+// kernel, the per-cell slow kernel and Reference all call it, so the three
+// perform the identical float sequence (the bit-identity contract).
+func jacobi(c, im, ip, jm, jp, km, kp float64) float64 {
+	lap := im + ip + jm + jp + km + kp - 6*c
+	return c + Alpha*lap
+}
+
+// jacobiAt is jacobi at one cell through boundary-resolving reads — the
+// gather of the slow kernel and Reference.
+func jacobiAt(env *stencil.Env, f *grid.Field, i, j, k int) float64 {
+	return jacobi(f.At(i, j, k),
+		env.AtP(f, i-1, j, k), env.AtP(f, i+1, j, k),
+		env.AtP(f, i, j-1, k), env.AtP(f, i, j+1, k),
+		env.AtP(f, i, j, k-1), env.AtP(f, i, j, k+1))
+}
+
 // Reference advances the field by steps*k Jacobi iterations sequentially
 // (one iteration at a time over the whole domain) under the given boundary
 // condition — the check for the fused program's executors.
@@ -81,11 +116,7 @@ func Reference(t0 *grid.Field, iterations int, bc stencil.Boundary) *grid.Field 
 	env := &stencil.Env{Domain: t0.Size, BC: bc}
 	for it := 0; it < iterations; it++ {
 		stencil.ForEach(grid.WholeRegion(t0.Size), func(i, j, k int) {
-			c := cur.At(i, j, k)
-			lap := env.AtP(cur, i-1, j, k) + env.AtP(cur, i+1, j, k) +
-				env.AtP(cur, i, j-1, k) + env.AtP(cur, i, j+1, k) +
-				env.AtP(cur, i, j, k-1) + env.AtP(cur, i, j, k+1) - 6*c
-			next.Set(i, j, k, c+Alpha*lap)
+			next.Set(i, j, k, jacobiAt(env, cur, i, j, k))
 		})
 		cur, next = next, cur
 	}

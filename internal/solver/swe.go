@@ -42,33 +42,70 @@ func init() {
 	iNbrs := []stencil.Offset{{DI: -1}, {DI: 1}}
 	jNbrs := []stencil.Offset{{DJ: -1}, {DJ: 1}}
 	cross := []stencil.Offset{{DI: -1}, {DI: 1}, {DJ: -1}, {DJ: 1}}
+	// The two flux stages share one builder: the y flux is the x flux with
+	// the roles of the two momenta exchanged.
+	fluxStage := func(name string, nrm int) stencil.KernelStage {
+		slow := func(env *stencil.Env, r grid.Region) {
+			u, out := env.Field(sweIn), env.Field(name)
+			stencil.ForEach(r, func(i, j, c int) {
+				out.Set(i, j, c, sweFluxAt(u, i, j, c, nrm))
+			})
+		}
+		fast := func(env *stencil.Env, r grid.Region) {
+			u, out := env.Field(sweIn).Data, env.Field(name).Data
+			b0, di, cols := columnRows(env, r, sweNC)
+			for c := r.K0; c < r.K1; c++ {
+				// The cell's own column, read through the env's border
+				// binding. A row's component-c cells sit at x = 0, sweNC,
+				// ... of [b+c, b+c+n): rows of one length, walked by an
+				// unsigned index, carry no bounds checks.
+				dh, dhu, dhv := env.Step(2, sweH-c), env.Step(2, sweHU-c), env.Step(2, sweHV-c)
+				n := (cols-1)*sweNC + 1
+				for i, b := r.I0, b0+c; i < r.I1; i, b = i+1, b+di {
+					row := out[b:][:n]
+					h, hu, hv := u[b+dh:][:n], u[b+dhu:][:n], u[b+dhv:][:n]
+					for x := uint(0); x < uint(len(row)); x += sweNC {
+						row[x] = sweFlux(h[x], hu[x], hv[x], c, nrm)
+					}
+				}
+			}
+		}
+		return stencil.KernelStage{
+			Stage: stencil.Stage{
+				Name:   name,
+				Inputs: []stencil.Input{{From: sweIn, Offsets: columnOffsets}},
+				Flops:  6,
+			},
+			Kernel: slow, Fast: fast, Slow: slow,
+		}
+	}
+	updateSlow := func(env *stencil.Env, r grid.Region) {
+		u, fx, gy := env.Field(sweIn), env.Field("fx"), env.Field("gy")
+		out := env.Field("unew")
+		stencil.ForEach(r, func(i, j, c int) {
+			out.Set(i, j, c, sweUpdate(env, u, fx, gy, i, j, c))
+		})
+	}
+	updateFast := func(env *stencil.Env, r grid.Region) {
+		u, fx, gy := env.Field(sweIn).Data, env.Field("fx").Data, env.Field("gy").Data
+		out := env.Field("unew").Data
+		siN, siP := env.Step(0, -1), env.Step(0, 1)
+		sjN, sjP := env.Step(1, -1), env.Step(1, 1)
+		// Every read is in-plane (no k offset), so whole i planes are runs.
+		forEachSpan(env.Domain, r, func(base, n int) {
+			row := out[base : base+n : base+n]
+			uim, uip := u[base+siN:][:len(row)], u[base+siP:][:len(row)]
+			ujm, ujp := u[base+sjN:][:len(row)], u[base+sjP:][:len(row)]
+			fim, fip := fx[base+siN:][:len(row)], fx[base+siP:][:len(row)]
+			gjm, gjp := gy[base+sjN:][:len(row)], gy[base+sjP:][:len(row)]
+			for x := range row {
+				row[x] = sweLaxFriedrichs(uim[x], uip[x], ujm[x], ujp[x], fim[x], fip[x], gjm[x], gjp[x])
+			}
+		})
+	}
 	stages := []stencil.KernelStage{
-		{
-			Stage: stencil.Stage{
-				Name:   "fx",
-				Inputs: []stencil.Input{{From: sweIn, Offsets: columnOffsets}},
-				Flops:  6,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, out := env.Field(sweIn), env.Field("fx")
-				stencil.ForEach(r, func(i, j, c int) {
-					out.Set(i, j, c, sweFluxX(u, i, j, c))
-				})
-			},
-		},
-		{
-			Stage: stencil.Stage{
-				Name:   "gy",
-				Inputs: []stencil.Input{{From: sweIn, Offsets: columnOffsets}},
-				Flops:  6,
-			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, out := env.Field(sweIn), env.Field("gy")
-				stencil.ForEach(r, func(i, j, c int) {
-					out.Set(i, j, c, sweFluxY(u, i, j, c))
-				})
-			},
-		},
+		fluxStage("fx", sweHU),
+		fluxStage("gy", sweHV),
 		{
 			Stage: stencil.Stage{
 				Name: "unew",
@@ -79,13 +116,7 @@ func init() {
 				},
 				Flops: 10,
 			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, fx, gy := env.Field(sweIn), env.Field("fx"), env.Field("gy")
-				out := env.Field("unew")
-				stencil.ForEach(r, func(i, j, c int) {
-					out.Set(i, j, c, sweUpdate(env, u, fx, gy, i, j, c))
-				})
-			},
+			Kernel: updateSlow, Fast: updateFast, Slow: updateSlow,
 		},
 	}
 	newProgram := func(Options) (*stencil.KernelProgram, error) {
@@ -109,44 +140,49 @@ func init() {
 	})
 }
 
-// sweFluxX returns component c of the x flux F(U) at (i,j) — all reads
-// in-domain on the packed column.
-func sweFluxX(u *grid.Field, i, j, c int) float64 {
-	h := u.At(i, j, sweH)
-	hu := u.At(i, j, sweHU)
-	hv := u.At(i, j, sweHV)
+// sweFlux returns component c of the flux F(U) (x direction, normal
+// momentum nrm = sweHU) or G(U) (y direction, nrm = sweHV) of a packed
+// state column. It and sweLaxFriedrichs are the only copies of the
+// per-cell arithmetic: the fast kernels, the slow kernels and sweReference
+// all call them, so they perform the identical float sequence.
+func sweFlux(h, hu, hv float64, c, nrm int) float64 {
+	qn := hu
+	if nrm == sweHV {
+		qn = hv
+	}
 	switch c {
 	case sweH:
-		return hu
-	case sweHU:
-		return hu*hu/h + 0.5*sweG*h*h
+		return qn
+	case nrm:
+		return qn*qn/h + 0.5*sweG*h*h
 	default:
 		return hu * hv / h
 	}
 }
 
-// sweFluxY returns component c of the y flux G(U) at (i,j).
-func sweFluxY(u *grid.Field, i, j, c int) float64 {
-	h := u.At(i, j, sweH)
-	hu := u.At(i, j, sweHU)
-	hv := u.At(i, j, sweHV)
-	switch c {
-	case sweH:
-		return hv
-	case sweHU:
-		return hu * hv / h
-	default:
-		return hv*hv/h + 0.5*sweG*h*h
-	}
+// sweFluxAt returns sweFlux at cell (i,j,c) — the gather of the slow
+// kernels and sweReference. All reads are in-domain on the packed column.
+func sweFluxAt(u *grid.Field, i, j, c, nrm int) float64 {
+	return sweFlux(u.At(i, j, sweH), u.At(i, j, sweHU), u.At(i, j, sweHV), c, nrm)
 }
 
-// sweUpdate is the Lax-Friedrichs combiner at one cell: the 4-neighbour
-// average minus central flux differences.
+// sweUpdate is sweLaxFriedrichs at cell (i,j,c) through boundary-resolving
+// reads — the gather of the slow kernel and sweReference.
 func sweUpdate(env *stencil.Env, u, fx, gy *grid.Field, i, j, c int) float64 {
-	avg := 0.25 * (env.AtP(u, i-1, j, c) + env.AtP(u, i+1, j, c) +
-		env.AtP(u, i, j-1, c) + env.AtP(u, i, j+1, c))
-	dfx := env.AtP(fx, i+1, j, c) - env.AtP(fx, i-1, j, c)
-	dgy := env.AtP(gy, i, j+1, c) - env.AtP(gy, i, j-1, c)
+	return sweLaxFriedrichs(
+		env.AtP(u, i-1, j, c), env.AtP(u, i+1, j, c),
+		env.AtP(u, i, j-1, c), env.AtP(u, i, j+1, c),
+		env.AtP(fx, i-1, j, c), env.AtP(fx, i+1, j, c),
+		env.AtP(gy, i, j-1, c), env.AtP(gy, i, j+1, c))
+}
+
+// sweLaxFriedrichs is the combiner at one cell from the state's four
+// in-plane neighbours and the neighbouring fluxes: the 4-neighbour average
+// minus central flux differences.
+func sweLaxFriedrichs(uim, uip, ujm, ujp, fim, fip, gjm, gjp float64) float64 {
+	avg := 0.25 * (uim + uip + ujm + ujp)
+	dfx := fip - fim
+	dgy := gjp - gjm
 	return avg - 0.5*sweDtDx*dfx - 0.5*sweDtDx*dgy
 }
 
@@ -177,10 +213,10 @@ func sweReference(st *State, steps int, bc stencil.Boundary, _ Options) error {
 	whole := grid.WholeRegion(st.Domain)
 	for t := 0; t < steps; t++ {
 		stencil.ForEach(whole, func(i, j, c int) {
-			fx.Set(i, j, c, sweFluxX(u, i, j, c))
+			fx.Set(i, j, c, sweFluxAt(u, i, j, c, sweHU))
 		})
 		stencil.ForEach(whole, func(i, j, c int) {
-			gy.Set(i, j, c, sweFluxY(u, i, j, c))
+			gy.Set(i, j, c, sweFluxAt(u, i, j, c, sweHV))
 		})
 		stencil.ForEach(whole, func(i, j, c int) {
 			next.Set(i, j, c, sweUpdate(env, u, fx, gy, i, j, c))

@@ -32,6 +32,41 @@ func init() {
 		{}, {DK: -1}, {DK: 1},
 		{DI: -1}, {DI: 1}, {DJ: -1}, {DJ: 1},
 	}
+	slow := func(env *stencil.Env, r grid.Region) {
+		u, out := env.Field(waveIn), env.Field("w")
+		stencil.ForEach(r, func(i, j, k int) {
+			out.Set(i, j, k, waveUpdate(env, u, i, j, k))
+		})
+	}
+	fast := func(env *stencil.Env, r grid.Region) {
+		u, out := env.Field(waveIn).Data, env.Field("w").Data
+		b0, di, cols := columnRows(env, r, waveNC)
+		siN, siP := env.Step(0, -1), env.Step(0, 1)
+		sjN, sjP := env.Step(1, -1), env.Step(1, 1)
+		for k := r.K0; k < r.K1; k++ {
+			// The cell's own column, read through the env's border
+			// binding. A row's level-k cells sit at x = 0, waveNC, ... of
+			// [b+k, b+k+n): rows of one length, walked by an unsigned
+			// index, carry no bounds checks.
+			cur, prev := env.Step(2, waveCur-k), env.Step(2, wavePrev-k)
+			n := (cols-1)*waveNC + 1
+			for i, b := r.I0, b0+k; i < r.I1; i, b = i+1, b+di {
+				row, c := out[b:][:n], u[b+cur:][:n]
+				if k == wavePrev {
+					for x := uint(0); x < uint(len(row)); x += waveNC {
+						row[x] = c[x]
+					}
+					continue
+				}
+				p := u[b+prev:][:n]
+				im, ip := u[b+cur+siN:][:n], u[b+cur+siP:][:n]
+				jm, jp := u[b+cur+sjN:][:n], u[b+cur+sjP:][:n]
+				for x := uint(0); x < uint(len(row)); x += waveNC {
+					row[x] = waveLeapfrog(c[x], p[x], im[x], ip[x], jm[x], jp[x])
+				}
+			}
+		}
+	}
 	stages := []stencil.KernelStage{
 		{
 			Stage: stencil.Stage{
@@ -39,12 +74,7 @@ func init() {
 				Inputs: []stencil.Input{{From: waveIn, Offsets: offsets}},
 				Flops:  8,
 			},
-			Kernel: func(env *stencil.Env, r grid.Region) {
-				u, out := env.Field(waveIn), env.Field("w")
-				stencil.ForEach(r, func(i, j, k int) {
-					out.Set(i, j, k, waveUpdate(env, u, i, j, k))
-				})
-			},
+			Kernel: slow, Fast: fast, Slow: slow,
 		},
 	}
 	newProgram := func(Options) (*stencil.KernelProgram, error) {
@@ -68,17 +98,25 @@ func init() {
 	})
 }
 
-// waveUpdate computes the packed output at one cell: the k=0 plane becomes
-// the old current level, the k=1 plane the leapfrog step
-// 2u − u_prev + c²∇²u with the in-plane 5-point Laplacian.
+// waveUpdate computes the packed output at one cell through
+// boundary-resolving reads — the gather of the slow kernel and
+// waveReference: the k=0 plane becomes the old current level, the k=1
+// plane the leapfrog step.
 func waveUpdate(env *stencil.Env, u *grid.Field, i, j, k int) float64 {
 	if k == wavePrev {
 		return u.At(i, j, waveCur)
 	}
-	c := u.At(i, j, waveCur)
-	lap := env.AtP(u, i-1, j, waveCur) + env.AtP(u, i+1, j, waveCur) +
-		env.AtP(u, i, j-1, waveCur) + env.AtP(u, i, j+1, waveCur) - 4*c
-	return 2*c - u.At(i, j, wavePrev) + waveC2*lap
+	return waveLeapfrog(u.At(i, j, waveCur), u.At(i, j, wavePrev),
+		env.AtP(u, i-1, j, waveCur), env.AtP(u, i+1, j, waveCur),
+		env.AtP(u, i, j-1, waveCur), env.AtP(u, i, j+1, waveCur))
+}
+
+// waveLeapfrog is the leapfrog step 2u − u_prev + c²∇²u with the in-plane
+// 5-point Laplacian — the only copy of the update arithmetic, shared by
+// the fast kernel, the slow kernel and waveReference.
+func waveLeapfrog(c, prev, im, ip, jm, jp float64) float64 {
+	lap := im + ip + jm + jp - 4*c
+	return 2*c - prev + waveC2*lap
 }
 
 // waveSetProblem writes a centered Gaussian displacement at rest (both time
